@@ -56,20 +56,6 @@ void RdmaNic::post_write(int dst, std::vector<std::byte> imm, const std::byte* d
   link(dst).submit(std::move(m));
 }
 
-void RdmaNic::post_write_owned(int dst, std::vector<std::byte> imm, std::vector<std::byte> data,
-                               std::function<void()> on_origin_done) {
-  ++writes_;
-  lapi::ReliableLink::Message m;
-  m.meta.kind = static_cast<std::uint8_t>(RdmaKind::kWrite);
-  m.meta.msg_id = next_msg_id_++;
-  m.meta.origin = static_cast<std::uint32_t>(hal_.node());
-  m.meta.aux = ++write_seq_out_[dst];
-  m.uhdr = std::move(imm);
-  m.owned = std::move(data);
-  m.on_origin_done = std::move(on_origin_done);
-  link(dst).submit(std::move(m));
-}
-
 lapi::Token RdmaNic::register_region(const std::byte* data, std::size_t len) {
   const lapi::Token t = next_region_token_++;
   regions_.emplace(t, Region{data, len});
@@ -356,12 +342,6 @@ std::int64_t RdmaNic::duplicate_deliveries() const noexcept {
 std::int64_t RdmaNic::reacks_coalesced() const noexcept {
   std::int64_t total = 0;
   for (const auto& [peer, l] : links_) total += l->reacks_coalesced();
-  return total;
-}
-
-std::int64_t RdmaNic::link_packets_sent() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& [peer, l] : links_) total += l->packets_sent();
   return total;
 }
 

@@ -74,9 +74,6 @@ class RdmaNic {
   /// fires (the NIC gathers directly from registered memory — no host copy).
   void post_write(int dst, std::vector<std::byte> imm, const std::byte* data, std::size_t len,
                   std::function<void()> on_origin_done);
-  /// RDMA write whose payload the NIC owns (control traffic, NACK service).
-  void post_write_owned(int dst, std::vector<std::byte> imm, std::vector<std::byte> data,
-                        std::function<void()> on_origin_done = nullptr);
 
   /// Expose `len` bytes at `data` for remote RDMA reads; the returned token
   /// travels in the channel's RTS. Valid until deregister_region.
@@ -102,7 +99,6 @@ class RdmaNic {
   [[nodiscard]] std::int64_t acks_sent() const noexcept;
   [[nodiscard]] std::int64_t duplicate_deliveries() const noexcept;
   [[nodiscard]] std::int64_t reacks_coalesced() const noexcept;
-  [[nodiscard]] std::int64_t link_packets_sent() const noexcept;
 
   /// Test hook (mirrors Lapi::link_for_test).
   [[nodiscard]] lapi::ReliableLink& link_for_test(int peer) { return link(peer); }

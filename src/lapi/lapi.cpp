@@ -3,18 +3,10 @@
 #include <bit>
 #include <cassert>
 #include <cstdio>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
 namespace sp::lapi {
-
-namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-}  // namespace
 
 Lapi::Lapi(sim::NodeRuntime& node, hal::Hal& hal, LapiGroup& group, int task_id)
     : node_(node), hal_(hal), group_(group), task_id_(task_id),
@@ -49,7 +41,7 @@ Lapi::Lapi(sim::NodeRuntime& node, hal::Hal& hal, LapiGroup& group, int task_id)
             off += len;
             bytes += len;
           }
-          node_.cpu.charge(node_.sim, copy_cost(node_.cfg, bytes));  // the scatter
+          node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, bytes));  // the scatter
         };
         return res;
       });
@@ -74,7 +66,7 @@ Lapi::Lapi(sim::NodeRuntime& node, hal::Hal& hal, LapiGroup& group, int task_id)
             off += it->second.lens[k];
             bytes += it->second.lens[k];
           }
-          node_.cpu.charge(node_.sim, copy_cost(node_.cfg, bytes));
+          node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, bytes));
           bump_local(it->second.org);
           pending_getv_.erase(it);
         };
@@ -224,7 +216,7 @@ void Lapi::putv(int tgt, int n, const Token* tgt_addrs, const void* const* srcs,
     std::memcpy(packed.data() + off, srcs[k], lens[k]);
     off += lens[k];
   }
-  maybe_app_charge(copy_cost(node_.cfg, total));  // the gather
+  maybe_app_charge(sim::copy_cost(node_.cfg, total));  // the gather
 
   ReliableLink::Message m;
   m.meta.kind = static_cast<std::uint8_t>(Kind::kAm);
@@ -284,7 +276,7 @@ void Lapi::handle_getv_request(const PktHdr& h, const std::byte* body) {
     std::memcpy(packed.data() + off, reinterpret_cast<const std::byte*>(addr), len);
     off += len;
   }
-  node_.cpu.charge(node_.sim, copy_cost(node_.cfg, total));
+  node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, total));
 
   // Reply as an internal active message to the origin's scatter handler.
   ReliableLink::Message m;
@@ -424,14 +416,6 @@ std::int64_t Lapi::duplicate_deliveries() const {
   std::int64_t sum = 0;
   for (const auto& l : links_) {
     if (l) sum += l->duplicates();
-  }
-  return sum;
-}
-
-std::int64_t Lapi::link_packets_sent() const {
-  std::int64_t sum = 0;
-  for (const auto& l : links_) {
-    if (l) sum += l->packets_sent();
   }
   return sum;
 }
@@ -588,7 +572,7 @@ void Lapi::on_data_packet(const PktHdr& h, std::span<const std::byte> payload) {
       r.stash.clear();
     } else {
       // Arrived before the first packet: stash until the header handler runs.
-      node_.cpu.charge(node_.sim, copy_cost(node_.cfg, h.data_len));
+      node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, h.data_len));
       r.stash.emplace_back(h.offset,
                            std::vector<std::byte>(body, body + h.data_len));
       return;
@@ -606,7 +590,7 @@ void Lapi::place_data(Reassembly& r, std::uint32_t offset, const std::byte* data
   if (len > 0) {
     // The single LAPI target-side copy: HAL receive buffer -> user buffer,
     // directly at the right offset (out-of-order packets need no reordering).
-    node_.cpu.charge(node_.sim, copy_cost(node_.cfg, len));
+    node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, len));
     if (r.buffer != nullptr) {
       std::memcpy(r.buffer + offset, data, len);
     }

@@ -190,9 +190,6 @@ class Lapi {
   /// Duplicate packet deliveries filtered by this task's links (fabric dups
   /// and go-back-N re-deliveries both land here).
   [[nodiscard]] std::int64_t duplicate_deliveries() const;
-  /// Reliability data packets this task's links put on the wire (first sends;
-  /// retransmits are counted separately).
-  [[nodiscard]] std::int64_t link_packets_sent() const;
   /// Transport acks this task's links put on the wire.
   [[nodiscard]] std::int64_t acks_sent() const;
   /// Duplicate deliveries folded into delayed ack flushes (re-ack coalescing).

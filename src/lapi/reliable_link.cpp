@@ -1,17 +1,11 @@
 #include "lapi/reliable_link.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 namespace sp::lapi {
 
 namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-
 /// Floor when re-arming the retransmit timer: an already-expired deadline
 /// (e.g. a HAL-full retry) must not respin at the current instant.
 constexpr sim::TimeNs kMinRetryDelayNs = 1'000;
@@ -90,14 +84,13 @@ void ReliableLink::materialize_one() {
   // The single LAPI origin-side copy: user buffer -> HAL staging. The NIC
   // profile gathers straight from registered memory (zero host copies).
   if (!profile_.nic_context) {
-    node_.cpu.charge(node_.sim, copy_cost(node_.cfg, chunk + uhdr_len));
+    node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, chunk + uhdr_len));
   }
 
   const std::size_t modeled = header_bytes() + uhdr_len + chunk;
   const bool sent = hal_send(payload, modeled);
   assert(sent && "pump() checked for HAL space");
   (void)sent;
-  ++data_packets_sent_;
 
   store_.emplace(seq, Stored{std::move(payload), modeled, node_.sim.now()});
   schedule_retransmit_check();

@@ -74,7 +74,6 @@ class ReliableLink {
   sim::SimCondition& drained_cond() noexcept { return drained_cond_; }
 
   [[nodiscard]] std::int64_t retransmits() const noexcept { return retransmits_; }
-  [[nodiscard]] std::int64_t packets_sent() const noexcept { return data_packets_sent_; }
   [[nodiscard]] std::int64_t duplicates() const noexcept { return duplicates_; }
   [[nodiscard]] std::int64_t acks_sent() const noexcept { return acks_sent_; }
   /// Duplicate deliveries folded into the delayed ack flush instead of each
@@ -146,7 +145,6 @@ class ReliableLink {
   static constexpr sim::TimeNs kNeverReacked = -(1LL << 62);
 
   std::int64_t retransmits_ = 0;
-  std::int64_t data_packets_sent_ = 0;
   std::int64_t duplicates_ = 0;
   std::int64_t acks_sent_ = 0;
   std::int64_t reacks_coalesced_ = 0;

@@ -1,18 +1,27 @@
-// MPCI channel interface: the point-to-point message layer with matching and
-// early-arrival buffering. Two implementations exist, mirroring Fig. 1 of the
-// paper: PipesChannel (the native stack, Fig. 1a) and LapiChannel (the new
-// thin MPCI over LAPI, Fig. 1c, in its Base / Counters / Enhanced versions).
+// MPCI channel interface: the point-to-point message layer. Three transports
+// implement it, mirroring Fig. 1 of the paper: PipesChannel (the native stack,
+// Fig. 1a), LapiChannel (the new thin MPCI over LAPI, Fig. 1c, in its Base /
+// Counters / Enhanced versions) and RdmaChannel (DESIGN.md §14).
+//
+// Matching is the paper's one MPCI layer under every transport, so it lives
+// here once: the posted-receive and early-arrival queues, the unexpected-queue
+// search, receive completion, and the request tables. Each channel keeps only
+// what its transport does differently (stream parsing, header handlers and
+// sequence parking, ring credits and RDMA-read rendezvous).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "lapi/wire.hpp"
 #include "mpci/bsend_pool.hpp"
 #include "mpci/envelope.hpp"
 #include "mpci/request.hpp"
@@ -29,7 +38,8 @@ class FatalMpiError : public std::runtime_error {
 
 class Channel {
  public:
-  Channel(sim::NodeRuntime& node, int num_tasks) : node_(node), num_tasks_(num_tasks) {}
+  Channel(sim::NodeRuntime& node, int num_tasks)
+      : node_(node), num_tasks_(num_tasks), send_seq_(static_cast<std::size_t>(num_tasks), 0) {}
   virtual ~Channel() = default;
 
   Channel(const Channel&) = delete;
@@ -40,7 +50,8 @@ class Channel {
   virtual void start_send(SendReq& req) = 0;
 
   /// Post a receive; `req` must be pre-filled and stay alive until complete.
-  virtual void post_recv(RecvReq& req) = 0;
+  /// Takes a matching early arrival if one is queued, else queues `req`.
+  void post_recv(RecvReq& req);
 
   /// Called from the waiting application thread to push work that the paper
   /// assigns to the blocking path (e.g. the rendezvous data phase after the
@@ -53,7 +64,7 @@ class Channel {
 
   /// Nonblocking probe: is a matchable unexpected message pending? Fills
   /// `st` (source, tag, length) without consuming the message.
-  [[nodiscard]] virtual bool iprobe(int ctx, int src_sel, int tag_sel, Status* st) = 0;
+  [[nodiscard]] bool iprobe(int ctx, int src_sel, int tag_sel, Status* st);
 
   /// Rank-order combine for the NIC-resident allreduce: fold `from` (the
   /// higher-rank operand) into `into` (the lower-rank accumulator).
@@ -104,14 +115,6 @@ class Channel {
   /// The log must outlive the channel's traffic.
   void set_match_log(std::vector<MatchRecord>* log) noexcept { match_log_ = log; }
 
- protected:
-  /// Channels call this when a new unexpected envelope becomes matchable.
-  void publish_arrival() {
-    node_.publish([this] { arrival_cond_.notify_all(node_.sim); });
-  }
-
- public:
-
   [[nodiscard]] BsendPool& bsend_pool() noexcept { return bsend_; }
   [[nodiscard]] sim::NodeRuntime& node() noexcept { return node_; }
 
@@ -127,6 +130,77 @@ class Channel {
   [[nodiscard]] std::int64_t ea_nacks() const noexcept { return ea_nacks_; }
 
  protected:
+  /// An unexpected (early-arrival) message, or a matched one detoured through
+  /// an EA buffer (truncation, or matched while its payload still arrives).
+  struct EaEntry {
+    Envelope env;
+    int src_task = 0;             ///< Sender's task id (transport address).
+    std::vector<std::byte> data;  ///< Early-arrival buffer (eager payload).
+    RecvReq* bound = nullptr;     ///< Receive that matched while arriving.
+    lapi::Cntr* watch = nullptr;  ///< LAPI Counters version: arrival signal.
+    lapi::Token token = 0;        ///< RDMA real RTS: sender's registered region.
+    bool arrived = false;         ///< Payload fully received.
+    bool is_rts = false;          ///< RTS, or a NACKed eager turned pseudo-RTS.
+    bool counted = false;         ///< Whether `data` is EA-accounted.
+    bool parked = false;          ///< Arrived before a lower seq from its source
+                                  ///< (LAPI); stays set once released.
+    bool matchable = true;        ///< False until that lower seq has arrived.
+    std::list<std::unique_ptr<EaEntry>>::iterator self;  ///< Its place in ea_.
+  };
+
+  /// A posted receive matched early arrival `e`. The default clears an RTS
+  /// to send and copies an eager out once it has fully arrived (binding the
+  /// receive to it until then); channels override what their transport does
+  /// differently.
+  virtual void take_unexpected(RecvReq& req, EaEntry& e, bool app_context);
+  /// Send a clear-to-send control envelope (the default rides
+  /// send_control_env).
+  virtual void send_cts(int dst_task, const Envelope& cts) { send_control_env(dst_task, cts); }
+
+  /// The first posted receive matching `env` (removed from the queue), or
+  /// null; charges the scan to the dispatcher.
+  [[nodiscard]] RecvReq* match_posted(const Envelope& env);
+  /// The unbound, matchable early arrival a receive for (ctx, src_sel,
+  /// tag_sel) takes, or null. See DESIGN.md §4 for the non-overtaking rule.
+  [[nodiscard]] EaEntry* find_unexpected(int ctx, int src_sel, int tag_sel);
+  /// Queue an early-arrival entry for `env` from `src_task`.
+  EaEntry& queue_ea(const Envelope& env, int src_task);
+  /// Queue a matchable RTS (or NACKed eager turned pseudo-RTS) and tell probers.
+  EaEntry& queue_rts(const Envelope& env, int src_task);
+  /// Remove `e` (in O(1), through `e->self`), releasing its EA bytes and
+  /// crediting its sender.
+  void erase_ea(EaEntry* e);
+  /// Copy early arrival `e` into `req`, complete `req` and drop `e`.
+  void deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context);
+
+  /// Fill `req`'s completion fields for `env` and log the match.
+  void mark_recv_complete(RecvReq& req, const Envelope& env);
+  /// mark_recv_complete + wake the waiter, through the wake gate.
+  void publish_recv_complete(RecvReq& req, const Envelope& env);
+  /// A receive took its payload straight from the transport: complete it,
+  /// credit the sender and FIN a buffered send that asked for it.
+  void finish_direct_recv(int src_task, RecvReq& req, const Envelope& env);
+  /// Credit the sender back when an eager (or NACK-served data) retires.
+  void maybe_retire(int src_task, const Envelope& env);
+  /// Match `rts` from `src_task` to `req` and clear the sender to send.
+  void grant_rts(int src_task, const Envelope& rts, RecvReq& req);
+  /// Tell `dst_task` its send `sreq` was fully received (kRecvDone).
+  void send_recv_done(int dst_task, std::uint32_t sreq);
+
+  /// Give `req` its request id and its place in the per-destination order.
+  void number_send(SendReq& req);
+  /// The envelope of `req`'s message (flags beyond ready mode are the caller's).
+  [[nodiscard]] static Envelope envelope_for(const SendReq& req, EnvKind kind);
+  /// The transport is done with `req.buf`: mark it reusable and complete.
+  void send_buffer_done(SendReq& req);
+  /// Complete `req` once MPI send semantics hold; true when this call did.
+  bool maybe_complete_send(SendReq& req);
+
+  /// Channels call this when a new unexpected envelope becomes matchable.
+  void publish_arrival() {
+    node_.publish([this] { arrival_cond_.notify_all(node_.sim); });
+  }
+
   /// Charge the cost of scanning `entries` queue entries plus locking.
   void charge_match_event(int entries) {
     note_match(entries);
@@ -291,6 +365,15 @@ class Channel {
 
   sim::NodeRuntime& node_;
   int num_tasks_;
+
+  std::list<RecvReq*> posted_;
+  std::list<std::unique_ptr<EaEntry>> ea_;
+  std::map<std::uint32_t, SendReq*> sreqs_;  ///< Sends awaiting a CTS / FIN / kRecvDone.
+  std::map<std::uint32_t, RecvReq*> rreqs_;  ///< Receives awaiting rendezvous data.
+  std::vector<std::uint32_t> send_seq_;      ///< Per destination task.
+  std::uint32_t next_sreq_ = 1;
+  std::uint32_t next_rreq_ = 1;
+
   BsendPool bsend_;
   sim::SimCondition arrival_cond_;
   std::vector<MatchRecord>* match_log_ = nullptr;

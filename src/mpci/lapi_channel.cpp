@@ -1,18 +1,11 @@
 #include "mpci/lapi_channel.hpp"
 
 #include <cassert>
-#include <cmath>
-#include <cstring>
 #include <utility>
 
 namespace sp::mpci {
 
 namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-
 constexpr std::uint64_t kRingExchangeBase = 0xC0DE0000ULL;
 }  // namespace
 
@@ -22,7 +15,6 @@ LapiChannel::LapiChannel(sim::NodeRuntime& node, lapi::Lapi& lapi, LapiVariant v
       lapi_(lapi),
       variant_(variant),
       my_task_(my_task),
-      send_seq_(static_cast<std::size_t>(num_tasks), 0),
       expected_(static_cast<std::size_t>(num_tasks), 0),
       parked_(static_cast<std::size_t>(num_tasks)),
       drain_scheduled_(static_cast<std::size_t>(num_tasks), false),
@@ -63,9 +55,13 @@ void LapiChannel::on_thread_start() {
   }
 }
 
-lapi::Token LapiChannel::ring_token(int dst, std::uint16_t slot) const {
+lapi::Token LapiChannel::target_counter(int dst, Envelope& env) {
+  if (variant_ != LapiVariant::kCounters) return 0;
+  env.cntr_slot = static_cast<std::uint16_t>(
+      slot_next_[static_cast<std::size_t>(dst)]++ %
+      static_cast<std::uint32_t>(node_.cfg.counter_ring_slots));
   return ring_out_[static_cast<std::size_t>(dst)] +
-         static_cast<lapi::Token>(slot) * sizeof(lapi::Cntr);
+         static_cast<lapi::Token>(env.cntr_slot) * sizeof(lapi::Cntr);
 }
 
 lapi::Cntr* LapiChannel::ring_slot(int src, std::uint16_t slot) {
@@ -88,20 +84,16 @@ void LapiChannel::gc_sstate(std::uint32_t id) { sstates_.erase(id); }
 
 void LapiChannel::start_send(SendReq& req) {
   req.proto = choose_protocol(req.mode, req.len, req.dst);
-  req.id = next_sreq_++;
-
-  Envelope env;
-  env.ctx = static_cast<std::uint16_t>(req.ctx);
-  env.src = static_cast<std::uint16_t>(req.src_in_comm);
-  env.tag = req.tag;
-  env.len = static_cast<std::uint32_t>(req.len);
-  env.sreq = req.id;
-  if (req.mode == Mode::kReady) env.flags |= kFlagReady;
+  number_send(req);
 
   SReqState& st = sstate(req);
   st.org.on_bump = [this, &req] {
     req.reusable = true;
-    maybe_complete_send(req);
+    if (maybe_complete_send(req) && (req.bsend_slot < 0 || req.bsend_released)) {
+      // Deferred: this runs from the org counter's own bump hook.
+      node_.sim.after(0, sim::sched_node_key(node_.node),
+                      [this, id = req.id] { gc_sstate(id); });
+    }
   };
   lapi::Cntr* cmpl = nullptr;
   if (req.bsend_slot >= 0) {
@@ -120,16 +112,8 @@ void LapiChannel::start_send(SendReq& req) {
 
   if (req.proto == Protocol::kEager) {
     note_eager_send(req.dst, req.len);
-    env.kind = static_cast<std::uint8_t>(EnvKind::kEager);
-    req.seq = send_seq_[static_cast<std::size_t>(req.dst)]++;
-    env.seq = req.seq;
-    lapi::Token tgt = 0;
-    if (variant_ == LapiVariant::kCounters) {
-      env.cntr_slot = static_cast<std::uint16_t>(
-          slot_next_[static_cast<std::size_t>(req.dst)]++ %
-          static_cast<std::uint32_t>(node_.cfg.counter_ring_slots));
-      tgt = ring_token(req.dst, env.cntr_slot);
-    }
+    Envelope env = envelope_for(req, EnvKind::kEager);
+    const lapi::Token tgt = target_counter(req.dst, env);
     ea_note_eager_departure(req.dst, env, req.buf);
     auto uhdr = pack(env);
     lapi_.amsend(req.dst, hh_eager_id_, uhdr.data(), uhdr.size(), req.buf, req.len, tgt,
@@ -137,10 +121,7 @@ void LapiChannel::start_send(SendReq& req) {
   } else {
     note_rendezvous_send(req.dst, req.len);
     sreqs_.emplace(req.id, &req);
-    env.kind = static_cast<std::uint8_t>(EnvKind::kRts);
-    req.seq = send_seq_[static_cast<std::size_t>(req.dst)]++;
-    env.seq = req.seq;
-    auto uhdr = pack(env);
+    auto uhdr = pack(envelope_for(req, EnvKind::kRts));
     // Fig. 4a: the request-to-send carries no data.
     lapi_.amsend(req.dst, hh_eager_id_, uhdr.data(), uhdr.size(), nullptr, 0, 0, nullptr,
                  nullptr);
@@ -161,24 +142,11 @@ void LapiChannel::progress(SendReq& req) {
 void LapiChannel::send_data_phase(SendReq& req) {
   if (req.data_sent) return;  // progress() and the CTS handler can race
   req.data_sent = true;
-  Envelope env;
-  env.ctx = static_cast<std::uint16_t>(req.ctx);
-  env.src = static_cast<std::uint16_t>(req.src_in_comm);
-  env.tag = req.tag;
-  env.seq = req.seq;
-  env.len = static_cast<std::uint32_t>(req.len);
-  env.kind = static_cast<std::uint8_t>(EnvKind::kRtsData);
-  env.sreq = req.id;
+  Envelope env = envelope_for(req, EnvKind::kRtsData);
   env.rreq = req.rreq_cache;
 
   SReqState& st = sstate(req);
-  lapi::Token tgt = 0;
-  if (variant_ == LapiVariant::kCounters) {
-    env.cntr_slot = static_cast<std::uint16_t>(
-        slot_next_[static_cast<std::size_t>(req.dst)]++ %
-        static_cast<std::uint32_t>(node_.cfg.counter_ring_slots));
-    tgt = ring_token(req.dst, env.cntr_slot);
-  }
+  const lapi::Token tgt = target_counter(req.dst, env);
   lapi::Cntr* cmpl = req.bsend_slot >= 0 ? &st.cmpl : nullptr;
   auto uhdr = pack(env);
   lapi_.amsend(req.dst, hh_rtsdata_id_, uhdr.data(), uhdr.size(), req.buf, req.len, tgt,
@@ -186,31 +154,7 @@ void LapiChannel::send_data_phase(SendReq& req) {
   sreqs_.erase(req.id);
 }
 
-void LapiChannel::maybe_complete_send(SendReq& req) {
-  if (req.complete) {
-    req.cond.notify_all(node_.sim);
-    return;
-  }
-  const bool done = (req.proto == Protocol::kEager) ? req.reusable
-                                                    : (req.data_sent && req.reusable);
-  if (done) {
-    req.complete = true;
-    req.cond.notify_all(node_.sim);
-    if (req.bsend_slot < 0 || req.bsend_released) {
-      // Deferred: this is called from the org counter's own bump hook.
-      node_.sim.after(0, sim::sched_node_key(node_.node),
-                      [this, id = req.id] { gc_sstate(id); });
-    }
-  }
-}
-
-void LapiChannel::send_cts(int dst_task, std::uint32_t sreq, RecvReq& r) {
-  r.id = next_rreq_++;
-  rreqs_.emplace(r.id, &r);
-  Envelope cts;
-  cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
-  cts.sreq = sreq;
-  cts.rreq = r.id;
+void LapiChannel::send_cts(int dst_task, const Envelope& cts) {
   auto uhdr = pack(cts);
   lapi_.amsend(dst_task, hh_cts_id_, uhdr.data(), uhdr.size(), nullptr, 0, 0, nullptr,
                nullptr);
@@ -219,22 +163,6 @@ void LapiChannel::send_cts(int dst_task, std::uint32_t sreq, RecvReq& r) {
 // ---------------------------------------------------------------------------
 // Receive side: header handlers
 // ---------------------------------------------------------------------------
-
-RecvReq* LapiChannel::match_posted(const Envelope& env) {
-  int scanned = 0;
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    ++scanned;
-    RecvReq* r = *it;
-    if (r->ctx == env.ctx && (r->src_sel == kAnySource || r->src_sel == env.src) &&
-        (r->tag_sel == kAnyTag || r->tag_sel == env.tag)) {
-      posted_.erase(it);
-      charge_match_event(scanned);
-      return r;
-    }
-  }
-  charge_match_event(scanned);
-  return nullptr;
-}
 
 lapi::Lapi::HeaderHandlerResult LapiChannel::hh_eager(int origin, const std::byte* uhdr,
                                                       std::size_t uhdr_len,
@@ -260,71 +188,42 @@ lapi::Lapi::HeaderHandlerResult LapiChannel::hh_eager(int origin, const std::byt
 
   // Out of order: park. The payload still reassembles into an EA buffer; the
   // envelope becomes matchable only when its predecessors have been seen.
-  auto e = std::make_unique<EaEntry>();
-  e->env = env;
-  e->src_task = origin;
-  e->matchable = false;
-  e->is_rts = env.kind == static_cast<std::uint8_t>(EnvKind::kRts);
-  EaEntry* ep = e.get();
-  if (!e->is_rts) {
-    if (!try_ea_reserve(env.len)) {
-      // EA pool exhausted: refuse the eager. It parks as a pseudo-RTS (the
-      // sequence gate still applies); the payload reassembles into scratch
-      // that is dropped, and the sender re-sends from its retained copy once
-      // the pseudo-RTS matches (previously this was fatal).
-      e->is_rts = true;
-      e->arrived = true;
-      parked_[static_cast<std::size_t>(origin)].emplace(env.seq, ep);
-      ea_.push_back(std::move(e));
-      return nack_result(origin, env, total);
-    }
-    e->counted = true;
-    e->data.resize(env.len);
-  } else {
-    e->arrived = true;
+  EaEntry& e = queue_ea(env, origin);
+  e.parked = true;
+  e.matchable = false;
+  parked_[static_cast<std::size_t>(origin)].emplace(env.seq, &e);
+  if (env.kind == static_cast<std::uint8_t>(EnvKind::kRts)) {
+    e.is_rts = true;
+    e.arrived = true;
+    return {};
   }
-  parked_[static_cast<std::size_t>(origin)].emplace(env.seq, ep);
-  ea_.push_back(std::move(e));
-
-  lapi::Lapi::HeaderHandlerResult res;
-  res.buffer = ep->data.data();
-  if (ep->is_rts) return res;
-  if (variant_ == LapiVariant::kCounters) {
-    ep->watch = ring_slot(origin, env.cntr_slot);
-  } else {
-    res.inline_completion = variant_ == LapiVariant::kEnhanced;
-    res.completion = [this, ep](void*) {
-      node_.publish([this, ep] {
-        ep->arrived = true;
-        if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-      });
-    };
+  if (!try_ea_reserve(env.len)) {
+    // EA pool exhausted: refuse the eager. It parks as a pseudo-RTS (the
+    // sequence gate still applies); the payload reassembles into scratch
+    // that is dropped, and the sender re-sends from its retained copy once
+    // the pseudo-RTS matches (previously this was fatal).
+    e.is_rts = true;
+    e.arrived = true;
+    return nack_result(origin, env, total);
   }
-  return res;
+  e.counted = true;
+  e.data.resize(env.len);
+  return ea_result(origin, e);
 }
 
 lapi::Lapi::HeaderHandlerResult LapiChannel::process_in_order(const Envelope& env,
                                                               int origin,
                                                               std::size_t total) {
-  lapi::Lapi::HeaderHandlerResult res;
-
   if (env.kind == static_cast<std::uint8_t>(EnvKind::kRts)) {
-    RecvReq* r = match_posted(env);
-    if (r != nullptr) {
-      r->status = Status{static_cast<int>(env.src), env.tag, env.len};
+    lapi::Lapi::HeaderHandlerResult res;
+    if (RecvReq* r = match_posted(env)) {
       // Fig. 4c: the CTS goes back from the completion handler (which may
       // make LAPI calls). Enhanced runs it inline; Base/Counters pay the
       // completion-handler thread switch.
       res.inline_completion = variant_ == LapiVariant::kEnhanced;
-      res.completion = [this, origin, sreq = env.sreq, r](void*) { send_cts(origin, sreq, *r); };
+      res.completion = [this, origin, env, r](void*) { grant_rts(origin, env, *r); };
     } else {
-      auto e = std::make_unique<EaEntry>();
-      e->env = env;
-      e->src_task = origin;
-      e->is_rts = true;
-      e->arrived = true;
-      ea_.push_back(std::move(e));
-      publish_arrival();
+      queue_rts(env, origin);
     }
     return res;
   }
@@ -332,59 +231,24 @@ lapi::Lapi::HeaderHandlerResult LapiChannel::process_in_order(const Envelope& en
   // Eager message.
   assert(env.kind == static_cast<std::uint8_t>(EnvKind::kEager));
   RecvReq* r = match_posted(env);
-  if (r != nullptr && env.len <= r->cap) {
-    res.buffer = r->buf;
-    if (variant_ == LapiVariant::kCounters) {
-      setup_counters_recv(*r, origin, env);
-    } else {
-      res.inline_completion = variant_ == LapiVariant::kEnhanced;
-      res.completion = [this, r, env, origin](void*) {
-        publish_recv_complete(*r, env);
-        maybe_retire(origin, env);
-      };
-    }
-    return res;
-  }
+  if (r != nullptr && env.len <= r->cap) return direct_result(origin, *r, env);
   if (r == nullptr && (env.flags & kFlagReady) != 0) {
     throw FatalMpiError("ready-mode message arrived before its receive was posted");
   }
   if (r == nullptr && !try_ea_reserve(env.len)) {
     // EA pool exhausted: refuse the eager — it stays behind as a matchable
     // pseudo-RTS served from the sender's retained copy (previously fatal).
-    auto e = std::make_unique<EaEntry>();
-    e->env = env;
-    e->src_task = origin;
-    e->is_rts = true;
-    e->arrived = true;
-    ea_.push_back(std::move(e));
-    publish_arrival();
+    queue_rts(env, origin);
     return nack_result(origin, env, total);
   }
 
   // Early arrival (or truncation detour).
-  auto e = std::make_unique<EaEntry>();
-  e->env = env;
-  e->src_task = origin;
-  e->bound = r;  // non-null on truncation
-  if (r == nullptr) e->counted = true;  // the try_ea_reserve above succeeded
-  e->data.resize(total);
-  EaEntry* ep = e.get();
-  ea_.push_back(std::move(e));
-  if (ep->bound == nullptr) publish_arrival();
-  res.buffer = ep->data.data();
-  if (variant_ == LapiVariant::kCounters) {
-    ep->watch = ring_slot(origin, env.cntr_slot);
-    if (ep->bound != nullptr) bind_counters_ea(*ep->bound, *ep);
-  } else {
-    res.inline_completion = variant_ == LapiVariant::kEnhanced;
-    res.completion = [this, ep](void*) {
-      node_.publish([this, ep] {
-        ep->arrived = true;
-        if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-      });
-    };
-  }
-  return res;
+  EaEntry& e = queue_ea(env, origin);
+  e.bound = r;  // non-null on truncation
+  e.counted = r == nullptr;  // the try_ea_reserve above succeeded
+  e.data.resize(total);
+  if (r == nullptr) publish_arrival();
+  return ea_result(origin, e);
 }
 
 void LapiChannel::drain_parked(int origin) {
@@ -406,28 +270,21 @@ void LapiChannel::drain_parked(int origin) {
 }
 
 void LapiChannel::match_parked_entry(EaEntry& e) {
-  RecvReq* r = match_posted(e.env);
-  if (r == nullptr) {
-    if (!e.is_rts && (e.env.flags & kFlagReady) != 0) {
-      throw FatalMpiError("ready-mode message arrived before its receive was posted");
-    }
-    publish_arrival();
-    return;  // stays in the EA queue, now matchable
-  }
-  if (e.is_rts) {
-    r->status = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
-    send_cts(e.src_task, e.env.sreq, *r);
-    erase_ea(&e);
+  if (RecvReq* r = match_posted(e.env)) {
+    take_unexpected(*r, e, /*app_context=*/false);
     return;
   }
-  if (variant_ == LapiVariant::kCounters) {
-    bind_counters_ea(*r, e);
-    return;
+  if (!e.is_rts && (e.env.flags & kFlagReady) != 0) {
+    throw FatalMpiError("ready-mode message arrived before its receive was posted");
   }
-  if (e.arrived) {
-    deliver_from_ea(*r, e, /*app_context=*/false);
+  publish_arrival();  // stays in the EA queue, now matchable
+}
+
+void LapiChannel::take_unexpected(RecvReq& req, EaEntry& e, bool app_context) {
+  if (variant_ == LapiVariant::kCounters && !e.is_rts) {
+    bind_counters_ea(req, e);
   } else {
-    e.bound = r;
+    Channel::take_unexpected(req, e, app_context);
   }
 }
 
@@ -488,57 +345,47 @@ lapi::Lapi::HeaderHandlerResult LapiChannel::hh_rtsdata(int origin, const std::b
   RecvReq* r = it->second;
   rreqs_.erase(it);
 
-  lapi::Lapi::HeaderHandlerResult res;
-  if (env.len <= r->cap) {
-    res.buffer = r->buf;
-    if (variant_ == LapiVariant::kCounters) {
-      setup_counters_recv(*r, origin, env);
-    } else {
-      res.inline_completion = variant_ == LapiVariant::kEnhanced;
-      res.completion = [this, r, env, origin](void*) {
-        publish_recv_complete(*r, env);
-        maybe_retire(origin, env);
-      };
-    }
-    return res;
-  }
+  if (env.len <= r->cap) return direct_result(origin, *r, env);
   // Truncation detour.
-  auto e = std::make_unique<EaEntry>();
-  e->env = env;
-  e->src_task = origin;
-  e->bound = r;
-  e->data.resize(total);
-  EaEntry* ep = e.get();
-  ea_.push_back(std::move(e));
-  res.buffer = ep->data.data();
-  if (variant_ == LapiVariant::kCounters) {
-    ep->watch = ring_slot(origin, env.cntr_slot);
-    bind_counters_ea(*r, *ep);
-  } else {
-    res.inline_completion = variant_ == LapiVariant::kEnhanced;
-    res.completion = [this, ep](void*) {
-      node_.publish([this, ep] {
-        ep->arrived = true;
-        deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-      });
-    };
-  }
-  return res;
+  EaEntry& e = queue_ea(env, origin);
+  e.bound = r;
+  e.data.resize(total);
+  return ea_result(origin, e);
 }
 
 // ---------------------------------------------------------------------------
 // Completion plumbing
 // ---------------------------------------------------------------------------
 
-void LapiChannel::publish_recv_complete(RecvReq& req, const Envelope& env) {
-  node_.publish([this, &req, env] {
-    req.complete = true;
-    req.truncated = env.len > req.cap;
-    req.status = Status{static_cast<int>(env.src), env.tag,
-                        std::min<std::size_t>(env.len, req.cap)};
-    note_recv_complete(env.ctx, env.src, env.tag, env.seq, env.len);
-    req.cond.notify_all(node_.sim);
-  });
+lapi::Lapi::HeaderHandlerResult LapiChannel::direct_result(int origin, RecvReq& r,
+                                                           const Envelope& env) {
+  lapi::Lapi::HeaderHandlerResult res;
+  res.buffer = r.buf;
+  if (variant_ == LapiVariant::kCounters) {
+    setup_counters_recv(r, origin, env);
+  } else {
+    res.inline_completion = variant_ == LapiVariant::kEnhanced;
+    res.completion = [this, &r, env, origin](void*) { finish_direct_recv(origin, r, env); };
+  }
+  return res;
+}
+
+lapi::Lapi::HeaderHandlerResult LapiChannel::ea_result(int origin, EaEntry& e) {
+  lapi::Lapi::HeaderHandlerResult res;
+  res.buffer = e.data.data();
+  if (variant_ == LapiVariant::kCounters) {
+    e.watch = ring_slot(origin, e.env.cntr_slot);
+    if (e.bound != nullptr) bind_counters_ea(*e.bound, e);
+  } else {
+    res.inline_completion = variant_ == LapiVariant::kEnhanced;
+    res.completion = [this, ep = &e](void*) {
+      node_.publish([this, ep] {
+        ep->arrived = true;
+        if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
+      });
+    };
+  }
+  return res;
 }
 
 void LapiChannel::setup_counters_recv(RecvReq& req, int origin, const Envelope& env) {
@@ -550,11 +397,7 @@ void LapiChannel::setup_counters_recv(RecvReq& req, int origin, const Envelope& 
   req.poll = [this, &req, env, origin]() {
     if (req.watch->value <= 0) return false;
     --req.watch->value;
-    req.complete = true;
-    req.truncated = env.len > req.cap;
-    req.status = Status{static_cast<int>(env.src), env.tag,
-                        std::min<std::size_t>(env.len, req.cap)};
-    note_recv_complete(env.ctx, env.src, env.tag, env.seq, env.len);
+    mark_recv_complete(req, env);
     maybe_retire(origin, env);
     return true;
   };
@@ -573,42 +416,6 @@ void LapiChannel::bind_counters_ea(RecvReq& req, EaEntry& e) {
   };
 }
 
-void LapiChannel::deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context) {
-  const std::size_t n = std::min<std::size_t>(e.env.len, req.cap);
-  const sim::TimeNs cost = copy_cost(node_.cfg, n);
-  if (app_context) {
-    node_.app_charge(cost);
-  } else {
-    node_.cpu.charge(node_.sim, cost);
-  }
-  if (n > 0) std::memcpy(req.buf, e.data.data(), n);
-  publish_recv_complete(req, e.env);
-  erase_ea(&e);
-}
-
-void LapiChannel::erase_ea(EaEntry* e) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    if (it->get() == e) {
-      if (e->counted) ea_release(e->env.len);
-      // Credit the sender for a consumed eager (a pseudo-RTS — kind kEager
-      // but is_rts — is credited later, when its rendezvous data lands).
-      const bool eager = e->env.kind == static_cast<std::uint8_t>(EnvKind::kEager) && !e->is_rts;
-      const bool nack_served = e->env.kind == static_cast<std::uint8_t>(EnvKind::kRtsData) &&
-                               (e->env.flags & kFlagNackServed) != 0;
-      if (eager || nack_served) ea_note_retired(e->src_task, e->env);
-      ea_.erase(it);
-      return;
-    }
-  }
-  assert(false && "erase_ea: entry not found");
-}
-
-void LapiChannel::maybe_retire(int origin, const Envelope& env) {
-  const bool eager = env.kind == static_cast<std::uint8_t>(EnvKind::kEager);
-  const bool nack_served = (env.flags & kFlagNackServed) != 0;
-  if (eager || nack_served) ea_note_retired(origin, env);
-}
-
 void LapiChannel::send_control_env(int dst_task, const Envelope& env) {
   // Credits and NACKs are dispatcher-context control traffic: no app-side
   // LAPI call charge regardless of which context retired the message.
@@ -625,13 +432,7 @@ void LapiChannel::serve_nacked(int dst_task, std::uint32_t sreq, std::uint32_t r
   env.kind = static_cast<std::uint8_t>(EnvKind::kRtsData);
   env.rreq = rreq;
   env.flags |= kFlagNackServed;
-  lapi::Token tgt = 0;
-  if (variant_ == LapiVariant::kCounters) {
-    env.cntr_slot = static_cast<std::uint16_t>(
-        slot_next_[static_cast<std::size_t>(dst_task)]++ %
-        static_cast<std::uint32_t>(node_.cfg.counter_ring_slots));
-    tgt = ring_token(dst_task, env.cntr_slot);
-  }
+  const lapi::Token tgt = target_counter(dst_task, env);
   // The retained vector stays alive until the receiver's credit retires it,
   // strictly after this data lands — safe to borrow.
   auto uhdr = pack(env);
@@ -672,76 +473,6 @@ void LapiChannel::absorb_ring_bump(int origin, std::uint16_t slot_idx) {
     *done = true;
     --slot->value;
   };
-}
-
-// ---------------------------------------------------------------------------
-// post_recv
-// ---------------------------------------------------------------------------
-
-bool LapiChannel::iprobe(int ctx, int src_sel, int tag_sel, Status* st) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  // Same non-overtaking selection rule as post_recv: a candidate counts only
-  // if no earlier-sequence matchable candidate from the same source exists.
-  const EaEntry* chosen = nullptr;
-  for (const auto& ep : ea_) {
-    const EaEntry& e = *ep;
-    if (!e.matchable || e.bound != nullptr) continue;
-    if (e.env.ctx != ctx) continue;
-    if (src_sel != kAnySource && src_sel != e.env.src) continue;
-    if (tag_sel != kAnyTag && tag_sel != e.env.tag) continue;
-    if (chosen == nullptr ||
-        (e.src_task == chosen->src_task && e.env.seq < chosen->env.seq)) {
-      chosen = &e;
-    }
-  }
-  if (chosen == nullptr) return false;
-  if (st != nullptr) {
-    *st = Status{static_cast<int>(chosen->env.src), chosen->env.tag, chosen->env.len};
-  }
-  return true;
-}
-
-void LapiChannel::post_recv(RecvReq& req) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  // MPI non-overtaking: among matchable early arrivals, a candidate may only
-  // be taken if no earlier-sequence candidate from the same source also
-  // matches (arrival order != send order on the multipath switch). Among the
-  // per-source front-runners, earliest arrival wins (wildcard sources).
-  auto chosen = ea_.end();
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    EaEntry& e = **it;
-    if (!e.matchable || e.bound != nullptr) continue;
-    if (e.env.ctx != req.ctx) continue;
-    if (req.src_sel != kAnySource && req.src_sel != e.env.src) continue;
-    if (req.tag_sel != kAnyTag && req.tag_sel != e.env.tag) continue;
-    if (chosen == ea_.end()) {
-      chosen = it;
-    } else if ((*it)->src_task == (*chosen)->src_task &&
-               (*it)->env.seq < (*chosen)->env.seq) {
-      chosen = it;
-    }
-  }
-  if (chosen != ea_.end()) {
-    auto it = chosen;
-    EaEntry& e = **it;
-    if (e.is_rts) {
-      req.status = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
-      send_cts(e.src_task, e.env.sreq, req);
-      ea_.erase(it);
-      return;
-    }
-    if (variant_ == LapiVariant::kCounters) {
-      bind_counters_ea(req, e);
-      return;
-    }
-    if (e.arrived) {
-      deliver_from_ea(req, e, /*app_context=*/true);
-    } else {
-      e.bound = &req;
-    }
-    return;
-  }
-  posted_.push_back(&req);
 }
 
 }  // namespace sp::mpci

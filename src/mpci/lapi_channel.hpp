@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <vector>
@@ -43,10 +42,8 @@ class LapiChannel : public Channel {
               int num_tasks);
 
   void start_send(SendReq& req) override;
-  void post_recv(RecvReq& req) override;
   void progress(SendReq& req) override;
   void on_thread_start() override;
-  [[nodiscard]] bool iprobe(int ctx, int src_sel, int tag_sel, Status* st) override;
 
   [[nodiscard]] LapiVariant variant() const noexcept { return variant_; }
 
@@ -55,18 +52,6 @@ class LapiChannel : public Channel {
   struct SReqState {
     lapi::Cntr org;
     lapi::Cntr cmpl;
-  };
-
-  struct EaEntry {
-    Envelope env;
-    int src_task = 0;
-    std::vector<std::byte> data;
-    bool arrived = false;
-    bool is_rts = false;
-    bool matchable = true;       ///< False while parked for sequence order.
-    bool counted = false;
-    RecvReq* bound = nullptr;
-    lapi::Cntr* watch = nullptr; ///< Counters version: arrival signal.
   };
 
   // Header handlers (registered in construction order; ids must agree across
@@ -85,29 +70,32 @@ class LapiChannel : public Channel {
   /// header handler so it may make LAPI calls).
   void drain_parked(int origin);
   void match_parked_entry(EaEntry& e);
+  /// Counters: an early arrival binds to the receive through its ring slot.
+  void take_unexpected(RecvReq& req, EaEntry& e, bool app_context) override;
 
   void send_data_phase(SendReq& req);
-  void send_cts(int dst_task, std::uint32_t sreq, RecvReq& r);
+  /// The CTS rides its own header handler, charged to the calling context.
+  void send_cts(int dst_task, const Envelope& cts) override;
   /// Serve a NACKed eager's retained copy as rendezvous data (EA failover).
   void serve_nacked(int dst_task, std::uint32_t sreq, std::uint32_t rreq);
   /// Control envelopes (EA credits / NACKs) ride the CTS header handler.
   void send_control_env(int dst_task, const Envelope& env) override;
-  /// Credit the sender back when an eager (or NACK-served data) retires.
-  void maybe_retire(int origin, const Envelope& env);
   /// Counters variant: absorb the stale ring-slot bump of a refused eager.
   void absorb_ring_bump(int origin, std::uint16_t slot_idx);
   /// Header-handler result for a refused eager: scratch reassembly + NACK.
   [[nodiscard]] lapi::Lapi::HeaderHandlerResult nack_result(int origin, const Envelope& env,
                                                             std::size_t total);
-  void maybe_complete_send(SendReq& req);
-  void publish_recv_complete(RecvReq& req, const Envelope& env);
-  void deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context);
+  /// Header-handler result reassembling straight into matched receive `r`.
+  [[nodiscard]] lapi::Lapi::HeaderHandlerResult direct_result(int origin, RecvReq& r,
+                                                              const Envelope& env);
+  /// Header-handler result reassembling into early-arrival entry `e`.
+  [[nodiscard]] lapi::Lapi::HeaderHandlerResult ea_result(int origin, EaEntry& e);
   void setup_counters_recv(RecvReq& req, int origin, const Envelope& env);
   void bind_counters_ea(RecvReq& req, EaEntry& e);
-  void erase_ea(EaEntry* e);
 
-  [[nodiscard]] RecvReq* match_posted(const Envelope& env);
-  [[nodiscard]] lapi::Token ring_token(int dst, std::uint16_t slot) const;
+  /// Counters version: stamp `env` with the next ring slot at `dst` and
+  /// return that slot's counter token; 0 (no target counter) otherwise.
+  [[nodiscard]] lapi::Token target_counter(int dst, Envelope& env);
   [[nodiscard]] lapi::Cntr* ring_slot(int src, std::uint16_t slot);
   [[nodiscard]] SReqState& sstate(SendReq& req);
   void gc_sstate(std::uint32_t id);
@@ -120,14 +108,9 @@ class LapiChannel : public Channel {
   int hh_cts_id_ = -1;
   int hh_rtsdata_id_ = -1;
 
-  std::list<RecvReq*> posted_;
-  std::list<std::unique_ptr<EaEntry>> ea_;
-  std::map<std::uint32_t, SendReq*> sreqs_;
-  std::map<std::uint32_t, RecvReq*> rreqs_;
   std::map<std::uint32_t, std::unique_ptr<SReqState>> sstates_;
 
-  // Sequence gating (per source task / per destination task).
-  std::vector<std::uint32_t> send_seq_;
+  // Sequence gating (per source task).
   std::vector<std::uint32_t> expected_;
   std::vector<std::map<std::uint32_t, EaEntry*>> parked_;
   std::vector<bool> drain_scheduled_;
@@ -136,9 +119,6 @@ class LapiChannel : public Channel {
   std::vector<std::vector<lapi::Cntr>> ring_in_;
   std::vector<lapi::Token> ring_out_;
   std::vector<std::uint32_t> slot_next_;
-
-  std::uint32_t next_sreq_ = 1;
-  std::uint32_t next_rreq_ = 1;
 };
 
 }  // namespace sp::mpci

@@ -1,26 +1,16 @@
 #include "mpci/pipes_channel.hpp"
 
 #include <cassert>
-#include <cmath>
-#include <cstring>
 #include <utility>
 
 namespace sp::mpci {
-
-namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-}  // namespace
 
 PipesChannel::PipesChannel(sim::NodeRuntime& node, pipes::Pipes& pipes, int my_task,
                            int num_tasks)
     : Channel(node, num_tasks),
       pipes_(pipes),
       my_task_(my_task),
-      parsers_(static_cast<std::size_t>(num_tasks)),
-      send_seq_(static_cast<std::size_t>(num_tasks), 0) {
+      parsers_(static_cast<std::size_t>(num_tasks)) {
   pipes_.set_on_data([this](int src) { on_data(src); });
 }
 
@@ -30,35 +20,19 @@ PipesChannel::PipesChannel(sim::NodeRuntime& node, pipes::Pipes& pipes, int my_t
 
 void PipesChannel::start_send(SendReq& req) {
   req.proto = choose_protocol(req.mode, req.len, req.dst);
-  req.id = next_sreq_++;
-
-  Envelope env;
-  env.ctx = static_cast<std::uint16_t>(req.ctx);
-  env.src = static_cast<std::uint16_t>(req.src_in_comm);
-  env.tag = req.tag;
-  req.seq = send_seq_[static_cast<std::size_t>(req.dst)]++;
-  env.seq = req.seq;
-  env.len = static_cast<std::uint32_t>(req.len);
-  env.sreq = req.id;
-  if (req.mode == Mode::kReady) env.flags |= kFlagReady;
+  number_send(req);
+  const bool eager = req.proto == Protocol::kEager;
+  Envelope env = envelope_for(req, eager ? EnvKind::kEager : EnvKind::kRts);
   if (req.bsend_slot >= 0) env.flags |= kFlagNotifyDone;
 
-  if (req.proto == Protocol::kEager) {
+  if (eager) {
     note_eager_send(req.dst, req.len);
-    env.kind = static_cast<std::uint8_t>(EnvKind::kEager);
     ea_note_eager_departure(req.dst, env, req.buf);
-    const bool needs_done = req.bsend_slot >= 0;
-    if (needs_done) sreqs_.emplace(req.id, &req);
-    pipes_.write(req.dst, pack(env), req.buf, req.len, [this, &req] {
-      node_.publish([this, &req] {
-        req.reusable = true;
-        maybe_complete_send(req);
-      });
-    });
+    if (req.bsend_slot >= 0) sreqs_.emplace(req.id, &req);
+    pipes_.write(req.dst, pack(env), req.buf, req.len, [this, &req] { send_buffer_done(req); });
   } else {
     note_rendezvous_send(req.dst, req.len);
     sreqs_.emplace(req.id, &req);
-    env.kind = static_cast<std::uint8_t>(EnvKind::kRts);
     pipes_.write(req.dst, pack(env), nullptr, 0, nullptr);
   }
 
@@ -81,61 +55,32 @@ void PipesChannel::progress(SendReq& req) {
 void PipesChannel::send_data_phase(SendReq& req, std::uint32_t rreq) {
   if (req.data_sent) return;  // progress() and the CTS path can race
   req.data_sent = true;
-  Envelope env;
-  env.ctx = static_cast<std::uint16_t>(req.ctx);
-  env.src = static_cast<std::uint16_t>(req.src_in_comm);
-  env.tag = req.tag;
-  env.seq = req.seq;
-  env.len = static_cast<std::uint32_t>(req.len);
-  env.kind = static_cast<std::uint8_t>(EnvKind::kRtsData);
-  env.sreq = req.id;
+  Envelope env = envelope_for(req, EnvKind::kRtsData);
   env.rreq = rreq;
   if (req.bsend_slot >= 0) env.flags |= kFlagNotifyDone;
-  pipes_.write(req.dst, pack(env), req.buf, req.len, [this, &req] {
-    node_.publish([this, &req] {
-      req.reusable = true;
-      maybe_complete_send(req);
-    });
-  });
+  pipes_.write(req.dst, pack(env), req.buf, req.len, [this, &req] { send_buffer_done(req); });
   if (req.bsend_slot < 0) sreqs_.erase(req.id);
 }
 
-void PipesChannel::maybe_complete_send(SendReq& req) {
-  if (req.complete) {
-    req.cond.notify_all(node_.sim);
-    return;
-  }
-  const bool done = (req.proto == Protocol::kEager) ? req.reusable
-                                                    : (req.data_sent && req.reusable);
-  if (done) {
-    req.complete = true;
-    req.cond.notify_all(node_.sim);
-  }
+void PipesChannel::send_control_env(int dst_task, const Envelope& env) {
+  pipes_.write(dst_task, pack(env), nullptr, 0, nullptr);
 }
 
-void PipesChannel::send_control(int dst_task, const Envelope& env) {
-  pipes_.write(dst_task, pack(env), nullptr, 0, nullptr);
+void PipesChannel::serve_nacked(int dst_task, std::uint32_t sreq, std::uint32_t rreq) {
+  const RetainedEager* ret = ea_retained(sreq);
+  assert(ret != nullptr && "CTS for unknown send request (no retained NACK copy)");
+  Envelope env = ret->env;
+  env.kind = static_cast<std::uint8_t>(EnvKind::kRtsData);
+  env.rreq = rreq;
+  env.flags |= kFlagNackServed;
+  // The retained vector stays alive until the receiver's credit retires it,
+  // which is strictly after this data lands — safe to borrow.
+  pipes_.write(dst_task, pack(env), ret->data.data(), ret->data.size(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
 // Receive side
 // ---------------------------------------------------------------------------
-
-RecvReq* PipesChannel::match_posted(const Envelope& env) {
-  int scanned = 0;
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    ++scanned;
-    RecvReq* r = *it;
-    if (r->ctx == env.ctx && (r->src_sel == kAnySource || r->src_sel == env.src) &&
-        (r->tag_sel == kAnyTag || r->tag_sel == env.tag)) {
-      posted_.erase(it);
-      charge_match_event(scanned);
-      return r;
-    }
-  }
-  charge_match_event(scanned);
-  return nullptr;
-}
 
 void PipesChannel::on_data(int src) {
   Parser& p = parsers_[static_cast<std::size_t>(src)];
@@ -162,114 +107,46 @@ void PipesChannel::on_data(int src) {
 void PipesChannel::dispatch_envelope(int src, const Envelope& env, Parser& p) {
   switch (static_cast<EnvKind>(env.kind)) {
     case EnvKind::kEager: {
-      RecvReq* r = match_posted(env);
-      if (r != nullptr && env.len <= r->cap) {
-        // Direct path: pipe buffer -> user buffer as bytes arrive.
-        if (env.len == 0) {
-          publish_recv_complete(*r, env, false);
-          if ((env.flags & kFlagNotifyDone) != 0) {
-            Envelope d;
-            d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-            d.sreq = env.sreq;
-            send_control(src, d);
-          }
-          return;
-        }
-        p.in_payload = true;
-        p.remaining = env.len;
-        p.sink = r->buf;
-        p.on_complete = [this, r, env, src] {
-          publish_recv_complete(*r, env, false);
-          ea_note_retired(src, env);
-          if ((env.flags & kFlagNotifyDone) != 0) {
-            Envelope d;
-            d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-            d.sreq = env.sreq;
-            send_control(src, d);
-          }
-        };
+      if (RecvReq* r = match_posted(env)) {
+        receive_into(src, *r, env, p);
         return;
       }
-      if (r == nullptr && (env.flags & kFlagReady) != 0) {
+      if ((env.flags & kFlagReady) != 0) {
         throw FatalMpiError("ready-mode message arrived before its receive was posted");
       }
-      if (r == nullptr && !try_ea_reserve(env.len)) {
+      if (!try_ea_reserve(env.len)) {
         // EA pool exhausted: refuse the eager and fail it over to rendezvous.
         // The in-flight payload drains to scratch; the envelope stays behind
         // as a pseudo-RTS that, once matched, clears the *sender* to re-send
         // the data from its retained copy (previously this was fatal).
         ea_issue_nack(src, env);
-        auto e = std::make_unique<EaEntry>();
-        e->env = env;
-        e->src_task = src;
-        e->is_rts = true;
-        e->arrived = true;
-        ea_.push_back(std::move(e));
-        publish_arrival();
+        queue_rts(env, src);
         if (env.len > 0) {
           auto scratch = std::make_shared<std::vector<std::byte>>(env.len);
-          p.in_payload = true;
-          p.remaining = env.len;
-          p.sink = scratch->data();
-          p.on_complete = [scratch] {};  // scratch outlives the drain, then drops
+          // scratch outlives the drain, then drops
+          p.expect(scratch->data(), env.len, [scratch] {});
         }
         return;
       }
-      // Early arrival (or truncation detour): stream into an EA buffer.
-      auto e = std::make_unique<EaEntry>();
-      e->env = env;
-      e->src_task = src;
-      e->bound = r;     // non-null on the truncation detour
-      if (r == nullptr) e->counted = true;  // the try_ea_reserve above succeeded
-      e->data.resize(env.len);
-      EaEntry* ep = e.get();
-      ea_.push_back(std::move(e));
-      if (ep->bound == nullptr) publish_arrival();
+      // Early arrival: stream into an EA buffer.
+      EaEntry& e = queue_ea(env, src);
+      e.counted = true;  // the try_ea_reserve above succeeded
+      publish_arrival();
       if (env.len == 0) {
-        ep->arrived = true;
-        if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-        return;
+        e.arrived = true;
+      } else {
+        fill_ea(src, e, p);
       }
-      p.in_payload = true;
-      p.remaining = env.len;
-      p.sink = ep->data.data();
-      p.on_complete = [this, ep, src] {
-        node_.publish([this, ep, src] {
-          ep->arrived = true;
-          if ((ep->env.flags & kFlagNotifyDone) != 0) {
-            Envelope d;
-            d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-            d.sreq = ep->env.sreq;
-            send_control(src, d);
-          }
-          if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-        });
-      };
       return;
     }
 
-    case EnvKind::kRts: {
-      RecvReq* r = match_posted(env);
-      if (r != nullptr) {
-        r->id = next_rreq_++;
-        rreqs_.emplace(r->id, r);
-        r->status = Status{env.src, env.tag, env.len};  // provisional
-        Envelope cts;
-        cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
-        cts.sreq = env.sreq;
-        cts.rreq = r->id;
-        send_control(src, cts);
+    case EnvKind::kRts:
+      if (RecvReq* r = match_posted(env)) {
+        grant_rts(src, env, *r);
       } else {
-        auto e = std::make_unique<EaEntry>();
-        e->env = env;
-        e->src_task = src;
-        e->is_rts = true;
-        e->arrived = true;  // an RTS carries no payload
-        ea_.push_back(std::move(e));
-        publish_arrival();
+        queue_rts(env, src);
       }
       return;
-    }
 
     case EnvKind::kCts: {
       auto it = sreqs_.find(env.sreq);
@@ -298,49 +175,7 @@ void PipesChannel::dispatch_envelope(int src, const Envelope& env, Parser& p) {
       assert(it != rreqs_.end() && "rendezvous data for unknown receive");
       RecvReq* r = it->second;
       rreqs_.erase(it);
-      const bool truncated = env.len > r->cap;
-      if (env.len == 0) {
-        publish_recv_complete(*r, env, false);
-        return;
-      }
-      if (!truncated) {
-        p.in_payload = true;
-        p.remaining = env.len;
-        p.sink = r->buf;
-        p.on_complete = [this, r, env, src] {
-          publish_recv_complete(*r, env, false);
-          if ((env.flags & kFlagNackServed) != 0) ea_note_retired(src, env);
-          if ((env.flags & kFlagNotifyDone) != 0) {
-            Envelope d;
-            d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-            d.sreq = env.sreq;
-            send_control(src, d);
-          }
-        };
-      } else {
-        auto e = std::make_unique<EaEntry>();
-        e->env = env;
-        e->src_task = src;
-        e->bound = r;
-        e->data.resize(env.len);
-        EaEntry* ep = e.get();
-        ea_.push_back(std::move(e));
-        p.in_payload = true;
-        p.remaining = env.len;
-        p.sink = ep->data.data();
-        p.on_complete = [this, ep, src] {
-          node_.publish([this, ep, src] {
-            ep->arrived = true;
-            if ((ep->env.flags & kFlagNotifyDone) != 0) {
-              Envelope d;
-              d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-              d.sreq = ep->env.sreq;
-              send_control(src, d);
-            }
-            deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
-          });
-        };
-      }
+      receive_into(src, *r, env, p);
       return;
     }
 
@@ -371,113 +206,30 @@ void PipesChannel::dispatch_envelope(int src, const Envelope& env, Parser& p) {
   }
 }
 
-void PipesChannel::serve_nacked(int dst_task, std::uint32_t sreq, std::uint32_t rreq) {
-  const RetainedEager* ret = ea_retained(sreq);
-  assert(ret != nullptr && "CTS for unknown send request (no retained NACK copy)");
-  Envelope env = ret->env;
-  env.kind = static_cast<std::uint8_t>(EnvKind::kRtsData);
-  env.rreq = rreq;
-  env.flags |= kFlagNackServed;
-  // The retained vector stays alive until the receiver's credit retires it,
-  // which is strictly after this data lands — safe to borrow.
-  pipes_.write(dst_task, pack(env), ret->data.data(), ret->data.size(), nullptr);
+void PipesChannel::receive_into(int src, RecvReq& r, const Envelope& env, Parser& p) {
+  if (env.len > r.cap) {
+    // Truncation detour through an EA buffer.
+    EaEntry& e = queue_ea(env, src);
+    e.bound = &r;
+    fill_ea(src, e, p);
+  } else if (env.len == 0) {
+    finish_direct_recv(src, r, env);
+  } else {
+    // Direct path: pipe buffer -> user buffer as bytes arrive.
+    p.expect(r.buf, env.len, [this, &r, env, src] { finish_direct_recv(src, r, env); });
+  }
 }
 
-void PipesChannel::publish_recv_complete(RecvReq& req, const Envelope& env, bool truncated) {
-  node_.publish([this, &req, env, truncated] {
-    req.complete = true;
-    req.truncated = truncated;
-    req.status = Status{env.src, env.tag,
-                        std::min<std::size_t>(env.len, req.cap)};
-    note_recv_complete(env.ctx, env.src, env.tag, env.seq, env.len);
-    req.cond.notify_all(node_.sim);
+void PipesChannel::fill_ea(int src, EaEntry& e, Parser& p) {
+  e.data.resize(e.env.len);
+  EaEntry* ep = &e;
+  p.expect(e.data.data(), e.env.len, [this, ep, src] {
+    node_.publish([this, ep, src] {
+      ep->arrived = true;
+      if ((ep->env.flags & kFlagNotifyDone) != 0) send_recv_done(src, ep->env.sreq);
+      if (ep->bound != nullptr) deliver_from_ea(*ep->bound, *ep, /*app_context=*/false);
+    });
   });
-}
-
-void PipesChannel::deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context) {
-  const std::size_t n = std::min<std::size_t>(e.env.len, req.cap);
-  const sim::TimeNs cost = copy_cost(node_.cfg, n);
-  if (app_context) {
-    node_.app_charge(cost);
-  } else {
-    node_.cpu.charge(node_.sim, cost);
-  }
-  if (n > 0) std::memcpy(req.buf, e.data.data(), n);
-  const bool truncated = e.env.len > req.cap;
-  publish_recv_complete(req, e.env, truncated);
-  erase_ea(&e);
-}
-
-void PipesChannel::erase_ea(EaEntry* e) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    if (it->get() == e) {
-      if (e->counted) ea_release(e->env.len);
-      // Credit the sender for a consumed eager (a pseudo-RTS — kind kEager
-      // but is_rts — is credited later, when its rendezvous data lands).
-      const bool eager = e->env.kind == static_cast<std::uint8_t>(EnvKind::kEager) && !e->is_rts;
-      const bool nack_served = e->env.kind == static_cast<std::uint8_t>(EnvKind::kRtsData) &&
-                               (e->env.flags & kFlagNackServed) != 0;
-      if (eager || nack_served) ea_note_retired(e->src_task, e->env);
-      ea_.erase(it);
-      return;
-    }
-  }
-  assert(false && "erase_ea: entry not found");
-}
-
-std::list<std::unique_ptr<PipesChannel::EaEntry>>::iterator PipesChannel::find_ea(
-    const RecvReq& req) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    EaEntry& e = **it;
-    if (e.bound == nullptr && e.env.ctx == req.ctx &&
-        (req.src_sel == kAnySource || req.src_sel == e.env.src) &&
-        (req.tag_sel == kAnyTag || req.tag_sel == e.env.tag)) {
-      return it;
-    }
-  }
-  return ea_.end();
-}
-
-bool PipesChannel::iprobe(int ctx, int src_sel, int tag_sel, Status* st) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  for (const auto& ep : ea_) {
-    const EaEntry& e = *ep;
-    if (e.bound != nullptr) continue;
-    if (e.env.ctx != ctx) continue;
-    if (src_sel != kAnySource && src_sel != e.env.src) continue;
-    if (tag_sel != kAnyTag && tag_sel != e.env.tag) continue;
-    if (st != nullptr) *st = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
-    return true;
-  }
-  return false;
-}
-
-void PipesChannel::post_recv(RecvReq& req) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  auto it = find_ea(req);
-  if (it == ea_.end()) {
-    posted_.push_back(&req);
-    return;
-  }
-  EaEntry& e = **it;
-  if (e.is_rts) {
-    // The sender is waiting for us: clear it to send (Fig. 9).
-    req.id = next_rreq_++;
-    rreqs_.emplace(req.id, &req);
-    req.status = Status{e.env.src, e.env.tag, e.env.len};
-    Envelope cts;
-    cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
-    cts.sreq = e.env.sreq;
-    cts.rreq = req.id;
-    send_control(e.src_task, cts);
-    ea_.erase(it);
-    return;
-  }
-  if (e.arrived) {
-    deliver_from_ea(req, e, /*app_context=*/true);
-  } else {
-    e.bound = &req;  // complete (and copy) when the payload finishes arriving
-  }
 }
 
 }  // namespace sp::mpci

@@ -1,13 +1,11 @@
 // The native MPCI: point-to-point messaging over the Pipes byte stream
 // (Fig. 1a). Messages are framed as [Envelope][payload] on the ordered
-// stream; matching, early-arrival buffering and the eager/rendezvous
-// protocols live here.
+// stream; this channel parses the stream and runs the eager/rendezvous
+// protocols over it. Matching is Channel's.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "mpci/channel.hpp"
@@ -21,56 +19,41 @@ class PipesChannel : public Channel {
   PipesChannel(sim::NodeRuntime& node, pipes::Pipes& pipes, int my_task, int num_tasks);
 
   void start_send(SendReq& req) override;
-  void post_recv(RecvReq& req) override;
   void progress(SendReq& req) override;
-  [[nodiscard]] bool iprobe(int ctx, int src_sel, int tag_sel, Status* st) override;
 
  private:
-  /// An unexpected (early-arrival) message, or a matched-but-detoured one
-  /// (truncation / matched mid-arrival).
-  struct EaEntry {
-    Envelope env;
-    int src_task = 0;             ///< Sender's task id (transport address).
-    std::vector<std::byte> data;  ///< Early-arrival buffer (eager payload).
-    bool arrived = false;         ///< Payload fully received.
-    bool is_rts = false;
-    RecvReq* bound = nullptr;     ///< Receive that matched while arriving.
-    bool counted = false;         ///< Whether `data` is EA-accounted.
-  };
-
   /// Per-source stream parser state.
   struct Parser {
     bool in_payload = false;
     std::size_t remaining = 0;
     std::byte* sink = nullptr;
     std::function<void()> on_complete;
+
+    /// Route the next `n` (> 0) payload bytes to `to`, then run `done`.
+    void expect(std::byte* to, std::size_t n, std::function<void()> done) {
+      in_payload = true;
+      remaining = n;
+      sink = to;
+      on_complete = std::move(done);
+    }
   };
 
   void on_data(int src);
   void dispatch_envelope(int src, const Envelope& env, Parser& p);
+  /// Receive `env`'s payload for matched receive `r`: straight into the user
+  /// buffer as bytes arrive, or through an EA buffer when it would truncate.
+  void receive_into(int src, RecvReq& r, const Envelope& env, Parser& p);
+  /// Stream `e`'s payload into its EA buffer; once it has all arrived, FIN a
+  /// buffered sender and deliver to the receive bound to it, if any.
+  void fill_ea(int src, EaEntry& e, Parser& p);
   void send_data_phase(SendReq& req, std::uint32_t rreq);
   /// Serve a NACKed eager's retained copy as rendezvous data (EA failover).
   void serve_nacked(int dst_task, std::uint32_t sreq, std::uint32_t rreq);
-  void maybe_complete_send(SendReq& req);
-  void publish_recv_complete(RecvReq& req, const Envelope& env, bool truncated);
-  void deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context);
-  void send_control(int dst_task, const Envelope& env);
-  void send_control_env(int dst_task, const Envelope& env) override { send_control(dst_task, env); }
-  [[nodiscard]] RecvReq* match_posted(const Envelope& env);
-  [[nodiscard]] std::list<std::unique_ptr<EaEntry>>::iterator find_ea(const RecvReq& req);
-  void erase_ea(EaEntry* e);
+  void send_control_env(int dst_task, const Envelope& env) override;
 
   pipes::Pipes& pipes_;
   int my_task_;
-
-  std::list<RecvReq*> posted_;
-  std::list<std::unique_ptr<EaEntry>> ea_;
-  std::map<std::uint32_t, SendReq*> sreqs_;
-  std::map<std::uint32_t, RecvReq*> rreqs_;
   std::vector<Parser> parsers_;
-  std::vector<std::uint32_t> send_seq_;
-  std::uint32_t next_sreq_ = 1;
-  std::uint32_t next_rreq_ = 1;
 };
 
 }  // namespace sp::mpci

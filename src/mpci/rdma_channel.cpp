@@ -1,18 +1,12 @@
 #include "mpci/rdma_channel.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
 namespace sp::mpci {
 
 namespace {
-[[nodiscard]] sim::TimeNs copy_cost(const sim::MachineConfig& cfg, std::size_t bytes) {
-  return cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
-}
-
 /// RTS immediate: envelope + the sender's 8-byte region token.
 [[nodiscard]] std::vector<std::byte> pack_rts(const Envelope& env, lapi::Token token) {
   std::vector<std::byte> imm(sizeof(Envelope) + sizeof(token));
@@ -25,8 +19,7 @@ namespace {
 RdmaChannel::RdmaChannel(sim::NodeRuntime& node, hal::RdmaNic& nic, int my_task, int num_tasks)
     : Channel(node, num_tasks),
       nic_(nic),
-      my_task_(my_task),
-      send_seq_(static_cast<std::size_t>(num_tasks), 0) {
+      my_task_(my_task) {
   nic_.set_write_handler(
       [this](int src, std::span<const std::byte> imm, std::vector<std::byte>&& data) {
         on_write(src, imm, std::move(data));
@@ -53,34 +46,19 @@ void RdmaChannel::start_send(SendReq& req) {
       --it->second;
     }
   }
-  req.id = next_sreq_++;
-
-  Envelope env;
-  env.ctx = static_cast<std::uint16_t>(req.ctx);
-  env.src = static_cast<std::uint16_t>(req.src_in_comm);
-  env.tag = req.tag;
-  req.seq = send_seq_[static_cast<std::size_t>(req.dst)]++;
-  env.seq = req.seq;
-  env.len = static_cast<std::uint32_t>(req.len);
-  env.sreq = req.id;
-  if (req.mode == Mode::kReady) env.flags |= kFlagReady;
+  number_send(req);
+  const bool eager = req.proto == Protocol::kEager;
+  Envelope env = envelope_for(req, eager ? EnvKind::kEager : EnvKind::kRts);
   if (req.bsend_slot >= 0) env.flags |= kFlagNotifyDone;
 
-  if (req.proto == Protocol::kEager) {
+  if (eager) {
     note_eager_send(req.dst, req.len);
-    env.kind = static_cast<std::uint8_t>(EnvKind::kEager);
     ea_note_eager_departure(req.dst, env, req.buf);
     if (req.bsend_slot >= 0) sreqs_.emplace(req.id, &req);
-    nic_.post_write(req.dst, pack(env), req.buf, req.len, [this, &req] {
-      node_.publish([this, &req] {
-        req.reusable = true;
-        maybe_complete_send(req);
-      });
-    });
+    nic_.post_write(req.dst, pack(env), req.buf, req.len, [this, &req] { send_buffer_done(req); });
   } else {
     note_rendezvous_send(req.dst, req.len);
     sreqs_.emplace(req.id, &req);
-    env.kind = static_cast<std::uint8_t>(EnvKind::kRts);
     lapi::Token token = 0;
     if (req.len > 0) {
       token = nic_.register_region(req.buf, req.len);
@@ -101,19 +79,6 @@ void RdmaChannel::start_send(SendReq& req) {
 void RdmaChannel::progress(SendReq&) {
   // Nothing for the application thread to push: the rendezvous data phase is
   // the *receiver's* RDMA read, and completion arrives with the FIN.
-}
-
-void RdmaChannel::maybe_complete_send(SendReq& req) {
-  if (req.complete) {
-    req.cond.notify_all(node_.sim);
-    return;
-  }
-  const bool done = (req.proto == Protocol::kEager) ? req.reusable
-                                                    : (req.data_sent && req.reusable);
-  if (done) {
-    req.complete = true;
-    req.cond.notify_all(node_.sim);
-  }
 }
 
 void RdmaChannel::send_control_env(int dst_task, const Envelope& env) {
@@ -151,22 +116,6 @@ void RdmaChannel::ring_slot_freed(int src) {
 // Receive side
 // ---------------------------------------------------------------------------
 
-RecvReq* RdmaChannel::match_posted(const Envelope& env) {
-  int scanned = 0;
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    ++scanned;
-    RecvReq* r = *it;
-    if (r->ctx == env.ctx && (r->src_sel == kAnySource || r->src_sel == env.src) &&
-        (r->tag_sel == kAnyTag || r->tag_sel == env.tag)) {
-      posted_.erase(it);
-      charge_match_event(scanned);
-      return r;
-    }
-  }
-  charge_match_event(scanned);
-  return nullptr;
-}
-
 void RdmaChannel::on_write(int src, std::span<const std::byte> imm,
                            std::vector<std::byte>&& data) {
   assert(imm.size() >= sizeof(Envelope) && "RDMA write without an envelope immediate");
@@ -183,17 +132,10 @@ void RdmaChannel::on_write(int src, std::span<const std::byte> imm,
       lapi::Token token = 0;
       assert(imm.size() >= sizeof(Envelope) + sizeof(token));
       std::memcpy(&token, imm.data() + sizeof(Envelope), sizeof(token));
-      RecvReq* r = match_posted(env);
-      if (r != nullptr) {
+      if (RecvReq* r = match_posted(env)) {
         start_read(*r, env, src, token, /*app_context=*/false);
       } else {
-        auto e = std::make_unique<EaEntry>();
-        e->env = env;
-        e->src_task = src;
-        e->token = token;
-        e->is_rts = true;
-        ea_.push_back(std::move(e));
-        publish_arrival();
+        queue_rts(env, src).token = token;
       }
       return;
     }
@@ -204,17 +146,7 @@ void RdmaChannel::on_write(int src, std::span<const std::byte> imm,
       assert(it != rreqs_.end() && "rendezvous data for unknown receive");
       RecvReq* r = it->second;
       rreqs_.erase(it);
-      const std::size_t n = std::min<std::size_t>(env.len, r->cap);
-      node_.cpu.charge(node_.sim, copy_cost(node_.cfg, n));
-      if (n > 0) std::memcpy(r->buf, data.data(), n);
-      publish_recv_complete(*r, env, env.len > r->cap);
-      if ((env.flags & kFlagNackServed) != 0) ea_note_retired(src, env);
-      if ((env.flags & kFlagNotifyDone) != 0) {
-        Envelope d;
-        d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-        d.sreq = env.sreq;
-        send_control_env(src, d);
-      }
+      receive_into(src, *r, env, data);
       return;
     }
 
@@ -270,19 +202,8 @@ void RdmaChannel::handle_eager(int src, const Envelope& env, std::vector<std::by
   // regardless of what happens to the message.
   if ((env.flags & kFlagReady) == 0 && env.len > 0) ring_slot_freed(src);
 
-  RecvReq* r = match_posted(env);
-  if (r != nullptr) {
-    const std::size_t n = std::min<std::size_t>(env.len, r->cap);
-    node_.cpu.charge(node_.sim, copy_cost(node_.cfg, n));
-    if (n > 0) std::memcpy(r->buf, data.data(), n);
-    publish_recv_complete(*r, env, env.len > r->cap);
-    ea_note_retired(src, env);
-    if ((env.flags & kFlagNotifyDone) != 0) {
-      Envelope d;
-      d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-      d.sreq = env.sreq;
-      send_control_env(src, d);
-    }
+  if (RecvReq* r = match_posted(env)) {
+    receive_into(src, *r, env, data);
     return;
   }
 
@@ -295,29 +216,25 @@ void RdmaChannel::handle_eager(int src, const Envelope& env, std::vector<std::by
     // envelope behind as a pseudo-RTS — once matched, a CTS clears the
     // sender to re-send from its retained copy (previously this was fatal).
     ea_issue_nack(src, env);
-    auto e = std::make_unique<EaEntry>();
-    e->env = env;
-    e->src_task = src;
-    e->is_rts = true;
-    ea_.push_back(std::move(e));
-    publish_arrival();
+    queue_rts(env, src);
     return;
   }
 
-  auto e = std::make_unique<EaEntry>();
-  e->env = env;
-  e->src_task = src;
-  e->data = std::move(data);
-  e->counted = true;
-  ea_.push_back(std::move(e));
+  EaEntry& e = queue_ea(env, src);
+  e.data = std::move(data);
+  e.counted = true;
+  e.arrived = true;  // writes land whole: the NIC reassembles
   publish_arrival();
-  if ((env.flags & kFlagNotifyDone) != 0) {
-    // The payload is safely buffered: the sender's attach slot can go.
-    Envelope d;
-    d.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-    d.sreq = env.sreq;
-    send_control_env(src, d);
-  }
+  // The payload is safely buffered: the sender's attach slot can go.
+  if ((env.flags & kFlagNotifyDone) != 0) send_recv_done(src, env.sreq);
+}
+
+void RdmaChannel::receive_into(int src, RecvReq& r, const Envelope& env,
+                               const std::vector<std::byte>& data) {
+  const std::size_t n = std::min<std::size_t>(env.len, r.cap);
+  node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, n));
+  if (n > 0) std::memcpy(r.buf, data.data(), n);
+  finish_direct_recv(src, r, env);
 }
 
 void RdmaChannel::start_read(RecvReq& req, const Envelope& env, int src, lapi::Token token,
@@ -325,13 +242,9 @@ void RdmaChannel::start_read(RecvReq& req, const Envelope& env, int src, lapi::T
   req.id = next_rreq_++;
   req.status = Status{env.src, env.tag, env.len};  // provisional
   const std::size_t n = std::min<std::size_t>(env.len, req.cap);
-  const bool truncated = env.len > req.cap;
   if (n == 0) {
-    publish_recv_complete(req, env, truncated);
-    Envelope fin;
-    fin.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-    fin.sreq = env.sreq;
-    send_control_env(src, fin);
+    publish_recv_complete(req, env);
+    send_recv_done(src, env.sreq);
     return;
   }
   // Post the read descriptor (a host doorbell), then the NIC pulls the
@@ -341,110 +254,25 @@ void RdmaChannel::start_read(RecvReq& req, const Envelope& env, int src, lapi::T
   } else {
     node_.cpu.charge(node_.sim, node_.cfg.rdma_doorbell_ns);
   }
-  nic_.post_read(src, token, req.buf, n, [this, &req, env, src, truncated] {
+  nic_.post_read(src, token, req.buf, n, [this, &req, env, src] {
     node_.cpu.charge(node_.sim, node_.cfg.rdma_cq_ns);  // reap the read CQE
-    publish_recv_complete(req, env, truncated);
-    Envelope fin;
-    fin.kind = static_cast<std::uint8_t>(EnvKind::kRecvDone);
-    fin.sreq = env.sreq;
-    send_control_env(src, fin);
+    publish_recv_complete(req, env);
+    send_recv_done(src, env.sreq);
   });
 }
 
-void RdmaChannel::publish_recv_complete(RecvReq& req, const Envelope& env, bool truncated) {
-  node_.publish([this, &req, env, truncated] {
-    req.complete = true;
-    req.truncated = truncated;
-    req.status = Status{env.src, env.tag, std::min<std::size_t>(env.len, req.cap)};
-    note_recv_complete(env.ctx, env.src, env.tag, env.seq, env.len);
-    req.cond.notify_all(node_.sim);
-  });
-}
-
-void RdmaChannel::deliver_from_ea(RecvReq& req, EaEntry& e, bool app_context) {
-  const std::size_t n = std::min<std::size_t>(e.env.len, req.cap);
-  const sim::TimeNs cost = copy_cost(node_.cfg, n);
-  if (app_context) {
-    node_.app_charge(cost);
-  } else {
-    node_.cpu.charge(node_.sim, cost);
+void RdmaChannel::take_unexpected(RecvReq& req, EaEntry& e, bool app_context) {
+  if (e.env.kind != static_cast<std::uint8_t>(EnvKind::kRts)) {
+    // An eager, or a NACKed eager turned pseudo-RTS (cleared with a CTS).
+    Channel::take_unexpected(req, e, app_context);
+    return;
   }
-  if (n > 0) std::memcpy(req.buf, e.data.data(), n);
-  const bool truncated = e.env.len > req.cap;
-  publish_recv_complete(req, e.env, truncated);
+  // Real RTS: pull the payload ourselves.
+  const Envelope env = e.env;
+  const int src = e.src_task;
+  const lapi::Token token = e.token;
   erase_ea(&e);
-}
-
-void RdmaChannel::erase_ea(EaEntry* e) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    if (it->get() == e) {
-      if (e->counted) ea_release(e->env.len);
-      const bool eager = e->env.kind == static_cast<std::uint8_t>(EnvKind::kEager) && !e->is_rts;
-      if (eager) ea_note_retired(e->src_task, e->env);
-      ea_.erase(it);
-      return;
-    }
-  }
-  assert(false && "erase_ea: entry not found");
-}
-
-std::list<std::unique_ptr<RdmaChannel::EaEntry>>::iterator RdmaChannel::find_ea(
-    const RecvReq& req) {
-  for (auto it = ea_.begin(); it != ea_.end(); ++it) {
-    EaEntry& e = **it;
-    if (e.env.ctx == req.ctx && (req.src_sel == kAnySource || req.src_sel == e.env.src) &&
-        (req.tag_sel == kAnyTag || req.tag_sel == e.env.tag)) {
-      return it;
-    }
-  }
-  return ea_.end();
-}
-
-bool RdmaChannel::iprobe(int ctx, int src_sel, int tag_sel, Status* st) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  for (const auto& ep : ea_) {
-    const EaEntry& e = *ep;
-    if (e.env.ctx != ctx) continue;
-    if (src_sel != kAnySource && src_sel != e.env.src) continue;
-    if (tag_sel != kAnyTag && tag_sel != e.env.tag) continue;
-    if (st != nullptr) *st = Status{static_cast<int>(e.env.src), e.env.tag, e.env.len};
-    return true;
-  }
-  return false;
-}
-
-void RdmaChannel::post_recv(RecvReq& req) {
-  charge_match_app(static_cast<int>(ea_.size()));
-  auto it = find_ea(req);
-  if (it == ea_.end()) {
-    posted_.push_back(&req);
-    return;
-  }
-  EaEntry& e = **it;
-  if (e.is_rts) {
-    if (e.env.kind == static_cast<std::uint8_t>(EnvKind::kRts)) {
-      // Real RTS: pull the payload ourselves.
-      const Envelope env = e.env;
-      const int src = e.src_task;
-      const lapi::Token token = e.token;
-      ea_.erase(it);
-      start_read(req, env, src, token, /*app_context=*/true);
-    } else {
-      // NACKed eager turned pseudo-RTS: clear the sender to re-send.
-      req.id = next_rreq_++;
-      rreqs_.emplace(req.id, &req);
-      req.status = Status{e.env.src, e.env.tag, e.env.len};
-      Envelope cts;
-      cts.kind = static_cast<std::uint8_t>(EnvKind::kCts);
-      cts.sreq = e.env.sreq;
-      cts.rreq = req.id;
-      const int src = e.src_task;
-      ea_.erase(it);
-      send_control_env(src, cts);
-    }
-    return;
-  }
-  deliver_from_ea(req, e, /*app_context=*/true);
+  start_read(req, env, src, token, app_context);
 }
 
 // ---------------------------------------------------------------------------

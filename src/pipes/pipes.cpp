@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -20,12 +19,6 @@ Pipes::Pipes(sim::NodeRuntime& node, hal::Hal& hal)
                          [this](int src, std::span<const std::byte> b) { on_hal_packet(src, b); });
   // No global send-space sweep: each destination pipe arms a one-shot HAL
   // waiter when (and only when) it actually stalls on send-buffer pressure.
-}
-
-sim::TimeNs Pipes::copy_cost(std::size_t bytes) const {
-  return node_.cfg.copy_call_ns +
-         static_cast<sim::TimeNs>(
-             std::llround(node_.cfg.copy_ns_per_byte * static_cast<double>(bytes)));
 }
 
 void Pipes::write(int dst, std::vector<std::byte> prefix, const std::byte* data, std::size_t len,
@@ -49,7 +42,7 @@ void Pipes::write(int dst, std::vector<std::byte> prefix, const std::byte* data,
   if (len <= 2 * span) {
     // Whole message goes through the pipe buffer: user -> pipe copy now.
     if (len > 0) {
-      node_.cpu.charge(node_.sim, copy_cost(len));
+      node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, len));
       OutSpan s;
       s.owned.assign(data, data + len);
       s.len = len;
@@ -61,7 +54,7 @@ void Pipes::write(int dst, std::vector<std::byte> prefix, const std::byte* data,
   } else {
     // Head and tail are pipe-buffered; the middle streams straight from the
     // user buffer to HAL (Snir et al.'s first/last-16 KiB rule).
-    node_.cpu.charge(node_.sim, copy_cost(2 * span));
+    node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, 2 * span));
     OutSpan head;
     head.owned.assign(data, data + span);
     head.len = span;
@@ -137,7 +130,7 @@ void Pipes::materialize_one(int dst, Out& o) {
   std::memcpy(payload.data(), &h, sizeof(WireHdr));
 
   // The pipe/user -> HAL copy plus per-packet bookkeeping.
-  node_.cpu.charge(node_.sim, copy_cost(data_bytes) + node_.cfg.pipe_packet_ns);
+  node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, data_bytes) + node_.cfg.pipe_packet_ns);
 
   const std::size_t modeled = node_.cfg.pipe_header_bytes + data_bytes;
   const bool sent = hal_.send_packet(dst, hal::kProtoPipes, payload, modeled);
@@ -204,7 +197,7 @@ void Pipes::on_hal_packet(int src, std::span<const std::byte> bytes) {
   // modeled copy is the same either way; on the host side, in-order packets
   // go straight from the receive frame into the stream buffer, and only
   // out-of-order ones need their own parking allocation.
-  node_.cpu.charge(node_.sim, copy_cost(len));
+  node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, len));
   const std::byte* body = bytes.data() + sizeof(WireHdr);
 
   if (off == i.delivered_off) {
@@ -307,7 +300,7 @@ void Pipes::consume(int src, std::byte* out, std::size_t n) {
   In& i = *in_[static_cast<std::size_t>(src)];
   assert(i.rx.size() >= n);
   // Pipe buffer -> destination copy (user buffer or early-arrival buffer).
-  node_.cpu.charge(node_.sim, copy_cost(n));
+  node_.cpu.charge(node_.sim, sim::copy_cost(node_.cfg, n));
   std::copy(i.rx.begin(), i.rx.begin() + static_cast<std::ptrdiff_t>(n), out);
   i.rx.erase(i.rx.begin(), i.rx.begin() + static_cast<std::ptrdiff_t>(n));
 }

@@ -121,7 +121,6 @@ class Pipes {
   void send_ack(int src);
   void schedule_ack_flush(int src);
   void schedule_retransmit(int dst);
-  [[nodiscard]] sim::TimeNs copy_cost(std::size_t bytes) const;
 
   sim::NodeRuntime& node_;
   hal::Hal& hal_;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -347,5 +348,11 @@ struct MachineConfig {
     return cfg;
   }
 };
+
+/// Host CPU time of one protocol memcpy of `bytes` bytes.
+[[nodiscard]] inline TimeNs copy_cost(const MachineConfig& cfg, std::size_t bytes) {
+  return cfg.copy_call_ns +
+         static_cast<TimeNs>(std::llround(cfg.copy_ns_per_byte * static_cast<double>(bytes)));
+}
 
 }  // namespace sp::sim

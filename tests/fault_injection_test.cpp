@@ -43,6 +43,12 @@ struct SoakParam {
   double drop;
 };
 
+// gtest would otherwise dump the raw bytes (uninitialized padding included)
+// into the test's CTest name, so the name would change from build to build.
+void PrintTo(const SoakParam& p, std::ostream* os) {
+  *os << sp::mpi::backend_name(p.backend) << ", drop " << p.drop;
+}
+
 std::string soak_name(const ::testing::TestParamInfo<SoakParam>& info) {
   std::string b = info.param.backend == Backend::kNativePipes ? "Native"
                   : info.param.backend == Backend::kLapiBase  ? "Base"

@@ -20,6 +20,12 @@ struct NasParam {
   Backend backend;
 };
 
+// gtest would otherwise dump the raw bytes (a moving string pointer) into
+// the test's CTest name, so the name would change from build to build.
+void PrintTo(const NasParam& p, std::ostream* os) {
+  *os << p.kernel << " on " << mpi::backend_name(p.backend);
+}
+
 KernelResult run_kernel(const std::string& name, Backend backend, int nodes, int scale) {
   MachineConfig cfg;
   Machine m(cfg, nodes, backend);

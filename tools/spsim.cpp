@@ -22,8 +22,8 @@
 //   --size BYTES       single message size instead of the sweep
 //   --iters N          iterations per measurement (default 24)
 //   --eager BYTES      eager limit (default 4096)
-//   --drop P           packet drop probability (default 0)
-//   --dup P            packet duplication probability (default 0)
+//   --drop P           packet drop probability in [0, 1) (default 0)
+//   --dup P            packet duplication probability in [0, 1) (default 0)
 //   --jitter NS        max extra per-delivery jitter in ns (default 0)
 //   --burst N          drop N consecutive packets per loss event (default 1)
 //   --seed S           fabric fault-injection seed
@@ -76,6 +76,10 @@
 //   --msg-bytes B      payload length (default 24; > eager limit = rendezvous)
 //   --msgs N           messages per rank per peer (default 1 in this mode)
 //   --cert-out FILE    write the certificate JSON there (jq-gated in CI)
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -83,6 +87,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.hpp"
@@ -162,6 +167,31 @@ struct Options {
   std::exit(2);
 }
 
+/// Parse a numeric flag value strictly: the whole string must parse (base 0
+/// takes C prefixes such as 0x, as seeds are written) and land in [lo, hi].
+/// Anything else exits 2 naming the flag, never a silent wrap or a 0.
+template <typename T>
+T parse_num(const std::string& flag, const char* text, T lo, T hi, const char* want,
+            int base = 10) {
+  char* end = nullptr;
+  errno = 0;
+  T v{};
+  if constexpr (std::is_floating_point_v<T>) {
+    v = std::strtod(text, &end);
+  } else if constexpr (std::is_signed_v<T>) {
+    v = std::strtoll(text, &end, base);
+  } else {
+    v = std::strtoull(text, &end, base);  // would wrap "-5": rejected below
+  }
+  const bool clean = text[0] != '\0' && !std::isspace(static_cast<unsigned char>(text[0])) &&
+                     (std::is_signed_v<T> || text[0] != '-');
+  if (!clean || *end != '\0' || errno == ERANGE || !(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "spsim: bad value '%s' for %s: want %s\n", text, flag.c_str(), want);
+    std::exit(2);
+  }
+  return v;
+}
+
 mpi::Backend parse_backend(const std::string& s) {
   if (s == "native") return mpi::Backend::kNativePipes;
   if (s == "base") return mpi::Backend::kLapiBase;
@@ -190,28 +220,40 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
+    auto int_arg = [&](long long lo, const char* want) {
+      return static_cast<int>(parse_num<long long>(a, next(), lo, INT_MAX, want));
+    };
+    auto any_int = [&] { return int_arg(INT_MIN, "an integer"); };
+    auto any_ll = [&] { return parse_num<long long>(a, next(), LLONG_MIN, LLONG_MAX, "an integer"); };
+    auto uint_arg = [&](int base) {
+      return parse_num<unsigned long long>(a, next(), 0, ULLONG_MAX, "an integer >= 0", base);
+    };
+    // A packet fate that always fires never delivers: rates stay below 1.
+    auto rate_arg = [&] {
+      return parse_num(a, next(), 0.0, std::nextafter(1.0, 0.0), "a probability in [0, 1)");
+    };
     if (a == "--backend" || a == "--channel") {
       o.backend = parse_backend(next());
     } else if (a == "--nodes") {
-      o.nodes = std::atoi(next());
+      o.nodes = int_arg(1, "an integer >= 1");
     } else if (a == "--size") {
-      o.size = std::strtoull(next(), nullptr, 10);
+      o.size = uint_arg(10);
     } else if (a == "--iters") {
-      o.iters = std::atoi(next());
+      o.iters = int_arg(1, "an integer >= 1");
     } else if (a == "--eager") {
-      o.eager = std::strtoull(next(), nullptr, 10);
+      o.eager = uint_arg(10);
     } else if (a == "--drop") {
-      o.drop = std::atof(next());
+      o.drop = rate_arg();
     } else if (a == "--dup") {
-      o.dup = std::atof(next());
+      o.dup = rate_arg();
     } else if (a == "--jitter") {
-      o.jitter = std::atoll(next());
+      o.jitter = any_ll();
     } else if (a == "--burst") {
-      o.burst = std::atoi(next());
+      o.burst = any_int();
     } else if (a == "--seed") {
-      o.seed = std::strtoull(next(), nullptr, 0);
+      o.seed = uint_arg(0);
     } else if (a == "--scale") {
-      o.scale = std::atoi(next());
+      o.scale = any_int();
     } else if (a == "--testbed") {
       const std::string t = next();
       if (t == "tb3") o.tb3 = true;
@@ -221,7 +263,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--topology") {
       o.topology = next();
     } else if (a == "--trace-ring") {
-      o.trace_ring = std::atoll(next());
+      o.trace_ring = any_ll();
     } else if (a == "--csv") {
       o.csv = true;
     } else if (a == "--format") {
@@ -230,15 +272,15 @@ Options parse(int argc, char** argv) {
     } else if (a == "--out") {
       o.out = next();
     } else if (a == "--seeds") {
-      o.explore_seeds = std::atoi(next());
+      o.explore_seeds = any_int();
       o.sweep_seeds = o.explore_seeds;
     } else if (a == "--budget") {
-      o.budget = std::atoi(next());
+      o.budget = any_int();
     } else if (a == "--msgs") {
-      o.msgs = std::atoi(next());
+      o.msgs = any_int();
       o.msgs_set = true;
     } else if (a == "--seed-base") {
-      o.seed_base = std::strtoull(next(), nullptr, 0);
+      o.seed_base = uint_arg(0);
     } else if (a == "--repro") {
       o.repro = next();
     } else if (a == "--trace-out") {
@@ -248,15 +290,15 @@ Options parse(int argc, char** argv) {
     } else if (a == "--systematic") {
       o.systematic = true;
     } else if (a == "--ranks") {
-      o.ranks = std::atoi(next());
+      o.ranks = any_int();
     } else if (a == "--depth") {
-      o.depth = std::atoi(next());
+      o.depth = any_int();
     } else if (a == "--window") {
-      o.window = std::atoll(next());
+      o.window = any_ll();
     } else if (a == "--interleavings") {
-      o.interleavings = std::atoll(next());
+      o.interleavings = any_ll();
     } else if (a == "--msg-bytes") {
-      o.msg_bytes = std::atoll(next());
+      o.msg_bytes = any_ll();
     } else if (a == "--cert-out") {
       o.cert_out = next();
     } else if (a == "--abi") {
@@ -268,7 +310,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--quick") {
       o.quick = true;
     } else if (a == "--workers") {
-      o.workers = std::atoi(next());
+      o.workers = any_int();
     } else if (a == "--json") {
       o.json_out = next();
     } else {
